@@ -22,6 +22,12 @@
 //	  ▲                                   │                               │
 //	  └────────────── fresh traffic (re-admission) ──────────────────────┘
 //
+// Verdicts are derived, not swept: Tick only records the clock, and
+// State reads a peer's verdict off its last-heard time, so a step costs
+// O(1) however many peers are tracked. The transition counters settle
+// when fresh traffic closes a silence episode; the episodes still open
+// are added up when the counters are read.
+//
 // Everything is a pure function of (config, seed, call sequence):
 // heartbeat stagger offsets and gossip targets come from a seeded
 // stream, deadlines from integer arithmetic, so a run replays
@@ -214,16 +220,28 @@ func ParseConfig(spec string) (Config, error) {
 // evidence alone. It is not safe for concurrent use; the sequential
 // balancer phase drives it.
 type Detector struct {
-	cfg       Config
-	n         int
-	lastHeard []int64
-	state     []State
-	offset    []int64 // per-processor heartbeat stagger in [0, HeartbeatEvery)
-	rng       *xrand.Stream
+	cfg    Config
+	n      int
+	now    int64 // the latest Tick's clock
+	ticks  int64 // Tick calls so far
+	peers  []peer
+	offset []int64 // per-processor heartbeat stagger in [0, HeartbeatEvery)
+	rng    *xrand.Stream
 
+	// Transition counts of closed silence episodes; the open ones are
+	// added at read time.
 	suspicions   int64
 	readmissions int64
 	confirmed    int64
+}
+
+// peer is one processor's evidence: when it was last heard from, and
+// the Tick count at that moment — its current silence is judged only
+// by Ticks after it (until one runs, the peer stays Alive, exactly as
+// a freshly re-admitted peer waits for the next deadline check).
+type peer struct {
+	lastHeard int64
+	heardTick int64
 }
 
 // New builds a detector for n processors. Every peer starts Alive with
@@ -236,12 +254,11 @@ func New(n int, cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	d := &Detector{
-		cfg:       cfg,
-		n:         n,
-		lastHeard: make([]int64, n),
-		state:     make([]State, n),
-		offset:    make([]int64, n),
-		rng:       xrand.New(cfg.Seed ^ 0xdead11e5),
+		cfg:    cfg,
+		n:      n,
+		peers:  make([]peer, n),
+		offset: make([]int64, n),
+		rng:    xrand.New(cfg.Seed ^ 0xdead11e5),
 	}
 	for p := range d.offset {
 		d.offset[p] = int64(d.rng.Intn(int(cfg.HeartbeatEvery)))
@@ -258,36 +275,31 @@ func (d *Detector) Heard(p int32, now int64) {
 	if p < 0 || int(p) >= d.n {
 		return
 	}
-	if now > d.lastHeard[p] {
-		d.lastHeard[p] = now
-	}
-	if d.state[p] != Alive {
-		d.state[p] = Alive
+	// Close the silence episode: its transitions are final now.
+	switch d.State(p) {
+	case Down:
+		d.confirmed++
+		fallthrough
+	case Suspected:
+		d.suspicions++
 		d.readmissions++
 	}
+	pp := &d.peers[p]
+	if now > pp.lastHeard {
+		pp.lastHeard = now
+	}
+	pp.heardTick = d.ticks
 }
 
-// Tick advances the deadline sweep to step now: peers silent past
-// SuspectAfter become Suspected, past DownAfter become Down. Call once
-// per step after delivering traffic.
+// Tick advances the detector's clock to step now: from here on, peers
+// silent past SuspectAfter read Suspected, past DownAfter Down. Call
+// once per step after delivering traffic. The first Tick sets the
+// clock; later ones never run it backwards (an earlier now keeps the
+// later clock).
 func (d *Detector) Tick(now int64) {
-	for p := range d.state {
-		silence := now - d.lastHeard[p]
-		switch {
-		case silence > d.cfg.DownAfter:
-			if d.state[p] == Alive {
-				d.suspicions++
-			}
-			if d.state[p] != Down {
-				d.confirmed++
-				d.state[p] = Down
-			}
-		case silence > d.cfg.SuspectAfter:
-			if d.state[p] == Alive {
-				d.suspicions++
-				d.state[p] = Suspected
-			}
-		}
+	d.ticks++
+	if d.ticks == 1 || now > d.now {
+		d.now = now
 	}
 }
 
@@ -297,12 +309,43 @@ func (d *Detector) State(p int32) State {
 	if p < 0 || int(p) >= d.n {
 		return Alive
 	}
-	return d.state[p]
+	pp := &d.peers[p]
+	if pp.heardTick == d.ticks {
+		return Alive
+	}
+	silence := d.now - pp.lastHeard
+	switch {
+	case silence > d.cfg.DownAfter:
+		return Down
+	case silence > d.cfg.SuspectAfter:
+		return Suspected
+	}
+	return Alive
 }
 
 // Suspected reports whether p is Suspected or Down — the single
 // predicate protocol decisions gate on.
-func (d *Detector) Suspected(p int32) bool { return d.State(p) != Alive }
+func (d *Detector) Suspected(p int32) bool { return d.Unsuspected(p) == 0 }
+
+// Unsuspected is 1 when p is Alive and 0 when it is Suspected or Down:
+// the verdict as a count, computed without branching on it, so a caller
+// can tally a peer list, or find its k-th admitted peer, in one
+// predictable pass. A single deadline test suffices because DownAfter
+// >= SuspectAfter.
+func (d *Detector) Unsuspected(p int32) int {
+	if p < 0 || int(p) >= d.n {
+		return 1
+	}
+	pp := &d.peers[p]
+	alive := 0
+	if d.now-pp.lastHeard <= d.cfg.SuspectAfter {
+		alive = 1
+	}
+	if pp.heardTick == d.ticks {
+		alive = 1
+	}
+	return alive
+}
 
 // Due reports whether processor p's staggered heartbeat falls on step
 // now.
@@ -328,20 +371,27 @@ func (d *Detector) Target(p int32) int32 {
 }
 
 // Suspicions returns the number of Alive -> Suspected (or direct
-// Alive -> Down) transitions so far.
-func (d *Detector) Suspicions() int64 { return d.suspicions }
+// Alive -> Down) transitions so far. Like ConfirmedDown and Counts it
+// walks every peer, to count the silence episodes still open.
+func (d *Detector) Suspicions() int64 {
+	_, suspected, down := d.Counts()
+	return d.suspicions + int64(suspected+down)
+}
 
 // Readmissions returns the number of Suspected/Down -> Alive
 // transitions caused by fresh traffic.
 func (d *Detector) Readmissions() int64 { return d.readmissions }
 
 // ConfirmedDown returns the number of -> Down transitions so far.
-func (d *Detector) ConfirmedDown() int64 { return d.confirmed }
+func (d *Detector) ConfirmedDown() int64 {
+	_, _, down := d.Counts()
+	return d.confirmed + int64(down)
+}
 
 // Counts returns the current population per state.
 func (d *Detector) Counts() (alive, suspected, down int) {
-	for _, s := range d.state {
-		switch s {
+	for p := range d.peers {
+		switch d.State(int32(p)) {
 		case Alive:
 			alive++
 		case Suspected:

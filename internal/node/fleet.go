@@ -592,7 +592,7 @@ func (f *Fleet) settled() bool {
 			return false
 		}
 		for _, nd := range ep.nodes {
-			if nd.Status().Inflight != 0 {
+			if nd.inflightTasks() != 0 {
 				return false
 			}
 		}

@@ -42,6 +42,7 @@ package node
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"plb/internal/deque"
 	"plb/internal/detect"
@@ -130,8 +131,10 @@ type Node struct {
 	queue deque.Deque[task.Task]
 	rec   task.Recorder
 
-	now       int64
-	active    map[int32]bool
+	now int64
+	// active holds the peers this node balances with and heartbeats,
+	// ascending and without itself, so a partner draw is one pass.
+	active    []int32
 	greeted   map[int32]bool
 	nextSeq   int32
 	inflight  map[int32]*pendingXfer // seq -> block
@@ -200,7 +203,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		tr:       tr,
 		rng:      xrand.New(cfg.Seed).Split(uint64(cfg.ID) + 0x9e3779b9),
 		det:      det,
-		active:   make(map[int32]bool),
 		greeted:  make(map[int32]bool),
 		inflight: make(map[int32]*pendingXfer),
 		dedup:    make(map[int32]*[dedupLen]int32),
@@ -220,11 +222,11 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		}
 	}
 	for _, p := range peers {
-		n.active[p] = true
+		n.addActive(p)
 	}
 	// Startup join volley: announce this node to every bootstrap peer
 	// so fleets assembled in any order converge on one active set.
-	for _, p := range peers {
+	for _, p := range n.active {
 		n.send(transport.Message{From: cfg.ID, To: p, Kind: transport.KindJoin})
 	}
 	return n, nil
@@ -310,14 +312,10 @@ type Status struct {
 
 // Status snapshots the node.
 func (n *Node) Status() Status {
-	inflight := int64(0)
-	for _, x := range n.inflight {
-		inflight += int64(len(x.tasks))
-	}
 	st := Status{
 		ID: n.cfg.ID, Now: n.now,
 		Generated: n.generated, Injected: n.injected, Completed: n.completed,
-		Queued: int64(n.queue.Len()), Inflight: inflight,
+		Queued: int64(n.queue.Len()), Inflight: n.inflightTasks(),
 		Acked: n.acked, Retries: n.retries, Requeued: n.requeued, DupDropped: n.dupDropped,
 		Draining: n.draining,
 		Epoch:    n.epoch,
@@ -345,10 +343,19 @@ func (n *Node) Suspects(p int32) bool { return n.det.Suspected(p) }
 func (n *Node) Recorder() *task.Recorder { return &n.rec }
 
 // Totals returns the conservation operands plus the move counters, for
-// fleet-level metrics.
+// fleet-level metrics. Unlike Status it copies nothing, so fleets can
+// poll it every few steps.
 func (n *Node) Totals() (generated, injected, completed, queued, inflight, moved, actions int64) {
-	st := n.Status()
-	return st.Generated, st.Injected, st.Completed, st.Queued, st.Inflight, n.tasksMoved, n.balanceActions
+	return n.generated, n.injected, n.completed, int64(n.queue.Len()), n.inflightTasks(), n.tasksMoved, n.balanceActions
+}
+
+// inflightTasks counts the tasks aboard unacknowledged transfers.
+func (n *Node) inflightTasks() int64 {
+	inflight := int64(0)
+	for _, x := range n.inflight {
+		inflight += int64(len(x.tasks))
+	}
+	return inflight
 }
 
 func (n *Node) send(m transport.Message) { n.tr.Send(m) }
@@ -393,9 +400,7 @@ func (n *Node) handle(m transport.Message) {
 		// acked-but-dropped as a stale retransmit.
 		delete(n.dedup, m.From)
 		delete(n.dedupPos, m.From)
-		if !n.active[m.From] && m.From != n.cfg.ID && m.From >= 0 {
-			n.active[m.From] = true
-		}
+		n.addActive(m.From)
 		// Greet back once so both sides converge even when only one had
 		// the other in its bootstrap volley.
 		if !n.greeted[m.From] && m.From >= 0 {
@@ -403,7 +408,9 @@ func (n *Node) handle(m transport.Message) {
 			n.send(transport.Message{From: n.cfg.ID, To: m.From, Kind: transport.KindJoin})
 		}
 	case transport.KindDrain, transport.KindLeave:
-		delete(n.active, m.From)
+		if i, ok := slices.BinarySearch(n.active, m.From); ok {
+			n.active = slices.Delete(n.active, i, i+1)
+		}
 	case transport.KindHeartbeat:
 		// Liveness evidence only; Heard already ran.
 	}
@@ -536,11 +543,11 @@ func (n *Node) drainStep() {
 	if n.queue.Len() == 0 && len(n.inflight) == 0 {
 		if n.leaveAt == 0 {
 			n.leaveAt = n.now + 2*n.cfg.RetryAfter
-			for p := range n.active {
+			for _, p := range n.active {
 				n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindDrain})
 			}
 		} else if n.now >= n.leaveAt {
-			for p := range n.active {
+			for _, p := range n.active {
 				n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindLeave})
 			}
 			n.left = true
@@ -564,7 +571,8 @@ func (n *Node) retryPump() {
 		if n.now-x.sentAt < n.cfg.RetryAfter {
 			continue
 		}
-		dead := !n.active[x.to] || n.det.State(x.to) == detect.Down
+		_, member := slices.BinarySearch(n.active, x.to)
+		dead := !member || n.det.State(x.to) == detect.Down
 		if x.attempts >= n.cfg.Attempts || dead {
 			// Requeue locally. If the original delivery landed and only
 			// the ack was lost this double-counts — at-least-once, which
@@ -587,28 +595,35 @@ func (n *Node) retryPump() {
 	}
 }
 
-// pickPartner draws a uniform random active, unsuspected peer.
+// pickPartner draws a uniform random active, unsuspected peer: the
+// k-th such peer in ascending id order, k drawn from the node's own
+// stream, so the draw replays from the seed.
 func (n *Node) pickPartner() (int32, bool) {
-	cands := make([]int32, 0, len(n.active))
-	for p := range n.active {
-		if p != n.cfg.ID && !n.det.Suspected(p) {
-			cands = append(cands, p)
-		}
+	alive := 0
+	for _, p := range n.active {
+		alive += n.det.Unsuspected(p)
 	}
-	if len(cands) == 0 {
+	if alive == 0 {
 		return 0, false
 	}
-	// Map iteration order is random but not seeded; sort for a
-	// reproducible draw from the node's own stream.
-	sortInt32(cands)
-	return cands[n.rng.Intn(len(cands))], true
+	k := n.rng.Intn(alive)
+	for _, p := range n.active {
+		if k -= n.det.Unsuspected(p); k < 0 {
+			return p, true
+		}
+	}
+	panic("node: partner count changed mid-draw")
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// addActive admits peer p to the active set, keeping it sorted; the
+// node itself, ids outside the fleet and ids already admitted are
+// ignored.
+func (n *Node) addActive(p int32) {
+	if p == n.cfg.ID || p < 0 || int(p) >= n.cfg.N {
+		return
+	}
+	if i, ok := slices.BinarySearch(n.active, p); !ok {
+		n.active = slices.Insert(n.active, i, p)
 	}
 }
 
